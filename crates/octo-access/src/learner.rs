@@ -7,10 +7,20 @@
 //! boosted with `r` new trees from its current margins (training
 //! continuation). Alternative modes reproduce the paper's baselines:
 //! periodic full retraining, and a one-shot learner that never refreshes.
+//!
+//! A refresh costs only its new trees. The learner caches, for every
+//! buffered row, the sum of the current model's tree outputs (the
+//! prequential test of `observe` computes it anyway), and every boosting
+//! round adds its tree's output to it. A refresh starts from those sums
+//! instead of walking every row through an ensemble of up to `max_trees`
+//! trees. The buffer is trimmed in batches, when it holds twice
+//! `buffer_max` rows and before each refresh, so an observation does not
+//! shift the whole window; every training call still sees exactly the
+//! last `buffer_max` rows.
 
 use crate::features::FeatureConfig;
 use octo_common::{SimDuration, SimTime};
-use octo_gbt::{Dataset, Gbt, GbtParams};
+use octo_gbt::{sigmoid, Dataset, Gbt, GbtParams};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -73,7 +83,12 @@ impl Default for LearnerConfig {
 pub struct IncrementalLearner {
     cfg: LearnerConfig,
     model: Option<Gbt>,
+    /// Training rows, oldest first: the last `buffer_max` observations
+    /// plus up to `buffer_max` more that the next trim drops.
     buffer: Dataset,
+    /// [`Gbt::tree_sum`] of every buffered row under the current model
+    /// (the empty sum before the first training), in buffer order.
+    tree_sums: Vec<f64>,
     recent_correct: VecDeque<bool>,
     activated: bool,
     last_refresh: Option<SimTime>,
@@ -89,6 +104,7 @@ impl IncrementalLearner {
             cfg,
             model: None,
             buffer: Dataset::new(width),
+            tree_sums: Vec::new(),
             recent_correct: VecDeque::new(),
             activated: false,
             last_refresh: None,
@@ -106,8 +122,11 @@ impl IncrementalLearner {
     /// buffers it for training and refreshes the model if due.
     pub fn observe(&mut self, features: &[f32], label: bool, now: SimTime) {
         self.points_seen += 1;
+        let mut tree_sum = Gbt::empty_tree_sum();
         if let Some(model) = &self.model {
-            let correct = (model.predict_proba(features) >= 0.5) == label;
+            tree_sum = model.tree_sum(features);
+            let p = sigmoid(model.margin_from_tree_sum(tree_sum));
+            let correct = (p >= 0.5) == label;
             if self.recent_correct.len() == self.cfg.eval_window {
                 self.recent_correct.pop_front();
             }
@@ -121,12 +140,26 @@ impl IncrementalLearner {
         }
         self.buffer
             .push_row(features, if label { 1.0 } else { 0.0 });
-        self.buffer.truncate_front(self.cfg.buffer_max);
+        self.tree_sums.push(tree_sum);
+        if self.buffer.n_rows() >= self.cfg.buffer_max.saturating_mul(2) {
+            self.trim_buffer();
+        }
         self.maybe_refresh(now);
     }
 
+    /// Drops the rows older than the last `buffer_max`, with their sums.
+    fn trim_buffer(&mut self) {
+        let n = self.buffer.n_rows();
+        if n > self.cfg.buffer_max {
+            self.buffer.truncate_front(self.cfg.buffer_max);
+            self.tree_sums.drain(..n - self.cfg.buffer_max);
+        }
+    }
+
     fn maybe_refresh(&mut self, now: SimTime) {
-        if self.buffer.n_rows() < self.cfg.min_points {
+        // The rows a training call would see: the untrimmed tail beyond
+        // `buffer_max` never counts.
+        if self.buffer.n_rows().min(self.cfg.buffer_max) < self.cfg.min_points {
             return;
         }
         let due = match self.last_refresh {
@@ -140,20 +173,22 @@ impl IncrementalLearner {
 
     /// Forces a model update at `now` according to the learning mode.
     pub fn refresh(&mut self, now: SimTime) {
+        self.trim_buffer();
         if self.buffer.is_empty() {
             return;
         }
-        match (self.cfg.mode, self.model.as_mut()) {
+        let (buffer, sums, cfg) = (&self.buffer, &mut self.tree_sums, &self.cfg);
+        match (cfg.mode, self.model.as_mut()) {
             (LearningMode::OneShot, Some(_)) => return, // never updates again
             (LearningMode::Incremental, Some(model)) => {
-                model.train_continuation(&self.buffer, self.cfg.gbt.rounds);
-                if model.n_trees() > self.cfg.max_trees {
+                model.train_continuation_cached(buffer, cfg.gbt.rounds, sums);
+                if model.n_trees() > cfg.max_trees {
                     // Compact: retrain from scratch on the retained buffer.
-                    *model = Gbt::train(&self.buffer, &self.cfg.gbt);
+                    *model = Gbt::train_cached(buffer, &cfg.gbt, sums);
                 }
             }
             (LearningMode::Retrain, Some(_)) | (_, None) => {
-                self.model = Some(Gbt::train(&self.buffer, &self.cfg.gbt));
+                self.model = Some(Gbt::train_cached(buffer, &cfg.gbt, sums));
             }
         }
         self.trainings += 1;

@@ -5,8 +5,8 @@
 //! per-shard epoch fan-out at 1, 4, and 16 worker threads and require the
 //! canonical-transcript digest to match the serial fixture bit for bit:
 //! thread count must never influence a single policy decision, transfer,
-//! or repair. (1 thread short-circuits to the serial path and anchors the
-//! comparison; 16 gives every shard its own worker.)
+//! or repair. (1 thread runs the downgrade split engine inline on the
+//! calling thread; 16 gives every shard its own worker.)
 
 mod common;
 

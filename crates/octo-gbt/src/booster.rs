@@ -3,7 +3,7 @@
 use crate::dataset::Dataset;
 use crate::objective;
 use crate::params::GbtParams;
-use crate::trainer::TreeBuilder;
+use crate::trainer::{presort, TreeBuilder};
 use crate::tree::Tree;
 use serde::{Deserialize, Serialize};
 
@@ -36,15 +36,32 @@ impl Gbt {
     ///
     /// Panics on invalid parameters (see [`GbtParams::validate`]).
     pub fn train(data: &Dataset, params: &GbtParams) -> Gbt {
+        let mut model = Gbt::untrained(data, params);
+        model.boost(data, params.rounds, None);
+        model
+    }
+
+    /// [`Gbt::train`] that also fills `tree_sums` with every row's
+    /// [`Gbt::tree_sum`] under the new model: the sums restart from
+    /// [`Gbt::empty_tree_sum`] and each tree's output is added as the tree
+    /// is built, so no row is walked through the ensemble afterwards.
+    ///
+    /// `tree_sums` holds one entry per row of `data`.
+    pub fn train_cached(data: &Dataset, params: &GbtParams, tree_sums: &mut [f64]) -> Gbt {
+        tree_sums.fill(Gbt::empty_tree_sum());
+        let mut model = Gbt::untrained(data, params);
+        model.boost(data, params.rounds, Some(tree_sums));
+        model
+    }
+
+    fn untrained(data: &Dataset, params: &GbtParams) -> Gbt {
         params.validate().expect("invalid GbtParams");
-        let mut model = Gbt {
+        Gbt {
             trees: Vec::new(),
             params: params.clone(),
             base_margin: params.base_margin(),
             n_features: data.n_features(),
-        };
-        model.boost(data, params.rounds);
-        model
+        }
     }
 
     /// Boosts `rounds` additional trees fitted to `data`, starting from the
@@ -52,6 +69,29 @@ impl Gbt {
     ///
     /// `data` must have the same feature width the model was trained with.
     pub fn train_continuation(&mut self, data: &Dataset, rounds: usize) {
+        self.check_width(data);
+        self.boost(data, rounds, None);
+    }
+
+    /// [`Gbt::train_continuation`] for a caller that keeps every row's
+    /// [`Gbt::tree_sum`] under the current model in `tree_sums`: the
+    /// starting margins come from the sums instead of a walk of every
+    /// tree, and each new tree's output is added to them.
+    ///
+    /// `tree_sums` holds one entry per row of `data`. The model, and the
+    /// updated sums, are bit-identical to a [`Gbt::train_continuation`]
+    /// followed by a recompute of [`Gbt::tree_sum`] on every row.
+    pub fn train_continuation_cached(
+        &mut self,
+        data: &Dataset,
+        rounds: usize,
+        tree_sums: &mut [f64],
+    ) {
+        self.check_width(data);
+        self.boost(data, rounds, Some(tree_sums));
+    }
+
+    fn check_width(&self, data: &Dataset) {
         assert_eq!(
             data.n_features(),
             self.n_features,
@@ -59,15 +99,21 @@ impl Gbt {
             data.n_features(),
             self.n_features
         );
-        self.boost(data, rounds);
     }
 
-    fn boost(&mut self, data: &Dataset, rounds: usize) {
+    fn boost(&mut self, data: &Dataset, rounds: usize, mut tree_sums: Option<&mut [f64]>) {
         if data.is_empty() || rounds == 0 {
             return;
         }
         let n = data.n_rows();
-        let mut margins: Vec<f64> = (0..n).map(|i| self.predict_margin(data.row(i))).collect();
+        let mut margins: Vec<f64> = match tree_sums.as_deref() {
+            Some(sums) => {
+                assert_eq!(sums.len(), n, "one tree sum per row");
+                sums.iter().map(|&s| self.margin_from_tree_sum(s)).collect()
+            }
+            None => (0..n).map(|i| self.predict_margin(data.row(i))).collect(),
+        };
+        let sorted = presort(data);
         for _ in 0..rounds {
             let mut grad = Vec::with_capacity(n);
             let mut hess = Vec::with_capacity(n);
@@ -75,18 +121,41 @@ impl Gbt {
                 grad.push(objective::grad(m, data.label(i) as f64));
                 hess.push(objective::hess(m));
             }
-            let tree = TreeBuilder::new(data, &grad, &hess, &self.params).build();
+            let tree =
+                TreeBuilder::new(data, &grad, &hess, &self.params).build_presorted(sorted.clone());
             for (i, m) in margins.iter_mut().enumerate() {
-                *m += tree.predict(data.row(i));
+                let out = tree.predict(data.row(i));
+                *m += out;
+                if let Some(sums) = tree_sums.as_deref_mut() {
+                    sums[i] += out;
+                }
             }
             self.trees.push(tree);
         }
     }
 
+    /// The sum of the trees' outputs for one row, without the base margin:
+    /// the left fold [`Gbt::predict_margin`] adds to the base margin.
+    pub fn tree_sum(&self, row: &[f32]) -> f64 {
+        debug_assert_eq!(row.len(), self.n_features);
+        self.trees.iter().map(|t| t.predict(row)).sum()
+    }
+
+    /// The tree sum of an ensemble with no trees: the value a fold over
+    /// tree outputs starts from.
+    pub fn empty_tree_sum() -> f64 {
+        std::iter::empty::<f64>().sum()
+    }
+
+    /// The margin of a row whose [`Gbt::tree_sum`] is `tree_sum`,
+    /// bit-identical to [`Gbt::predict_margin`] of that row.
+    pub fn margin_from_tree_sum(&self, tree_sum: f64) -> f64 {
+        self.base_margin + tree_sum
+    }
+
     /// The raw boosting margin (log-odds) for one row.
     pub fn predict_margin(&self, row: &[f32]) -> f64 {
-        debug_assert_eq!(row.len(), self.n_features);
-        self.base_margin + self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
+        self.margin_from_tree_sum(self.tree_sum(row))
     }
 
     /// The predicted probability of the positive class for one row.
@@ -273,6 +342,54 @@ mod tests {
                 b.predict_margin(data.row(i)).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn cached_training_matches_plain_training_and_recomputed_sums() {
+        let data = blob_dataset(10, 150);
+        let more = blob_dataset(11, 150);
+        let p = GbtParams {
+            rounds: 6,
+            ..GbtParams::default()
+        };
+        let same_margins = |a: &Gbt, b: &Gbt, d: &Dataset| {
+            (0..d.n_rows()).all(|i| {
+                a.predict_margin(d.row(i)).to_bits() == b.predict_margin(d.row(i)).to_bits()
+            })
+        };
+        let sums_are_exact = |m: &Gbt, sums: &[f64], d: &Dataset| {
+            (0..d.n_rows()).all(|i| sums[i].to_bits() == m.tree_sum(d.row(i)).to_bits())
+        };
+
+        let mut plain = Gbt::train(&data, &p);
+        let mut sums = vec![1.0; data.n_rows()]; // stale values are reset
+        let mut cached = Gbt::train_cached(&data, &p, &mut sums);
+        assert!(same_margins(&plain, &cached, &data));
+        assert!(sums_are_exact(&cached, &sums, &data));
+
+        let mut sums: Vec<f64> = (0..more.n_rows())
+            .map(|i| cached.tree_sum(more.row(i)))
+            .collect();
+        plain.train_continuation(&more, 4);
+        cached.train_continuation_cached(&more, 4, &mut sums);
+        assert_eq!(cached.n_trees(), 10);
+        assert!(same_margins(&plain, &cached, &more));
+        assert!(sums_are_exact(&cached, &sums, &more));
+        for (i, &sum) in sums.iter().enumerate() {
+            assert_eq!(
+                cached.margin_from_tree_sum(sum).to_bits(),
+                cached.predict_margin(more.row(i)).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn empty_tree_sum_is_the_margin_offset_of_no_trees() {
+        let model = Gbt::train(&Dataset::new(2), &GbtParams::default());
+        assert_eq!(
+            model.tree_sum(&[0.0, 0.0]).to_bits(),
+            Gbt::empty_tree_sum().to_bits()
+        );
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * **Training continuation** — [`Gbt::train_continuation`] boosts
 //!   additional rounds starting from the current model's margins, which is
 //!   how the paper's *incremental learning* refreshes models with new file
-//!   accesses without retraining from scratch.
+//!   accesses without retraining from scratch. A caller that keeps every
+//!   training row's [`Gbt::tree_sum`] can boost through
+//!   [`Gbt::train_continuation_cached`] and skip the walk of the whole
+//!   ensemble that computing the starting margins otherwise costs.
 //!
 //! The implementation is deterministic: identical data and parameters yield
 //! an identical model, bit for bit.

@@ -1,7 +1,8 @@
 //! Growing one regression tree with exact greedy split finding.
 //!
 //! The builder follows XGBoost's exact algorithm: per-feature row lists are
-//! sorted once at the root by feature value, then *partitioned* (stably)
+//! sorted by feature value at the root (`presort`, once per boosting call:
+//! the dataset is fixed across its rounds), then *partitioned* (stably)
 //! down the tree so no re-sorting happens at inner nodes. Rows whose feature
 //! is missing never appear in that feature's list; their gradient mass is
 //! recovered as `node_total − non_missing_total` and each candidate split is
@@ -86,38 +87,30 @@ impl<'a> TreeBuilder<'a> {
     }
 
     /// Builds the tree. An empty dataset yields a single zero leaf.
-    pub(crate) fn build(mut self) -> Tree {
+    #[cfg(test)]
+    pub(crate) fn build(self) -> Tree {
+        let sorted = presort(self.data);
+        self.build_presorted(sorted)
+    }
+
+    /// Builds the tree from the root's per-feature sorted row lists, as
+    /// [`presort`] returns them for this builder's dataset. The lists
+    /// depend only on the feature values, so a boosting call computes them
+    /// once and hands every round a copy.
+    pub(crate) fn build_presorted(mut self, sorted: Vec<Vec<u32>>) -> Tree {
         let n = self.data.n_rows();
-        let f = self.data.n_features();
-        let mut tree = Tree::new(f);
+        let mut tree = Tree::new(self.data.n_features());
         if n == 0 {
             tree.push(Node::Leaf { value: 0.0 });
             return tree;
         }
+        debug_assert_eq!(sorted.len(), self.data.n_features());
 
         let rows: Vec<u32> = (0..n as u32).collect();
         let mut stats = GradStats::default();
         for i in 0..n {
             stats.add(self.grad[i], self.hess[i]);
         }
-        let sorted = (0..f)
-            .map(|feat| {
-                let mut list: Vec<u32> = rows
-                    .iter()
-                    .copied()
-                    .filter(|&r| !self.data.value(r as usize, feat).is_nan())
-                    .collect();
-                // Sort by value with the row index as a deterministic
-                // tie-break (values are never NaN here).
-                list.sort_by(|&a, &b| {
-                    let va = self.data.value(a as usize, feat);
-                    let vb = self.data.value(b as usize, feat);
-                    va.partial_cmp(&vb).expect("non-NaN values").then(a.cmp(&b))
-                });
-                list
-            })
-            .collect();
-
         let root = NodeData {
             rows,
             sorted,
@@ -293,6 +286,25 @@ impl<'a> TreeBuilder<'a> {
             },
         )
     }
+}
+
+/// For every feature, the rows whose value is present, sorted by value
+/// with the row index as a deterministic tie-break (values are never NaN
+/// here): the root's sorted lists of the exact greedy algorithm.
+pub(crate) fn presort(data: &Dataset) -> Vec<Vec<u32>> {
+    (0..data.n_features())
+        .map(|feat| {
+            let mut list: Vec<u32> = (0..data.n_rows() as u32)
+                .filter(|&r| !data.value(r as usize, feat).is_nan())
+                .collect();
+            list.sort_unstable_by(|&a, &b| {
+                let va = data.value(a as usize, feat);
+                let vb = data.value(b as usize, feat);
+                va.partial_cmp(&vb).expect("non-NaN values").then(a.cmp(&b))
+            });
+            list
+        })
+        .collect()
 }
 
 /// A threshold strictly between two adjacent training values. Falls back to

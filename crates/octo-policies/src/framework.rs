@@ -209,6 +209,29 @@ pub trait DowngradePolicy {
     }
 }
 
+/// Algorithm 1's serial select → plan → stop loop, after the policy
+/// decided to start.
+fn select_loop(
+    policy: &mut dyn DowngradePolicy,
+    dfs: &mut TieredDfs,
+    tier: StorageTier,
+    now: SimTime,
+) -> Vec<TransferId> {
+    let mut planned = Vec::new();
+    let mut skip = BTreeSet::new();
+    while let Some(file) = policy.select_file(dfs, tier, now, &skip) {
+        skip.insert(file);
+        let target = policy.select_target(dfs, file, tier);
+        if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
+            planned.push(id);
+        }
+        if policy.stop_downgrade(dfs, tier, now) {
+            break;
+        }
+    }
+    planned
+}
+
 /// An upgrade request produced by Algorithm 2's inner loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpgradeChoice {
@@ -293,7 +316,14 @@ impl TieringEngine {
         )
     }
 
-    /// Runs Algorithm 1 for `tier`, returning the transfers planned.
+    /// Runs Algorithm 1 for `tier` through the policy's serial
+    /// [`DowngradePolicy::select_file`] loop, returning the transfers
+    /// planned.
+    ///
+    /// This is the reference form of Algorithm 1: the victim sequences the
+    /// split engine of [`TieringEngine::run_downgrade_pooled`] must
+    /// reproduce are pinned against it. It serves callers that drive
+    /// select-only policies directly (`dfsio`, `examples/custom_policy.rs`).
     pub fn run_downgrade(
         &mut self,
         dfs: &mut TieredDfs,
@@ -303,34 +333,22 @@ impl TieringEngine {
         let Some(policy) = self.downgrade.as_mut() else {
             return Vec::new();
         };
-        let mut planned = Vec::new();
         if !policy.start_downgrade(dfs, tier, now) {
-            return planned;
+            return Vec::new();
         }
-        let mut skip = BTreeSet::new();
-        while let Some(file) = policy.select_file(dfs, tier, now, &skip) {
-            skip.insert(file);
-            let target = policy.select_target(dfs, file, tier);
-            if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
-                planned.push(id);
-            }
-            if policy.stop_downgrade(dfs, tier, now) {
-                break;
-            }
-        }
-        planned
+        select_loop(&mut **policy, dfs, tier, now)
     }
 
     /// Runs Algorithm 1 for `tier` with the candidate scan fanned out over
     /// `pool`, returning the transfers planned.
     ///
-    /// A one-thread pool takes the untouched serial path
-    /// ([`TieringEngine::run_downgrade`]); otherwise the policy's
-    /// [`DowngradePolicy::scan_phases`] split runs — parallel read-only
-    /// shard scans merged and committed serially in shard order — which is
-    /// byte-identical to the serial path at any thread count (the
-    /// determinism tests pin this against the golden digests). A policy
-    /// without a split form falls back to the serial select loop.
+    /// The policy's [`DowngradePolicy::scan_phases`] split runs at every
+    /// width: read-only shard scans (inline, in shard order, on a
+    /// one-thread pool) merged and committed serially in shard order, so
+    /// each candidate is scored once per run. The victims are
+    /// byte-identical to [`TieringEngine::run_downgrade`] at any thread
+    /// count (the determinism tests pin this against the golden digests).
+    /// A policy without a split form falls back to the serial select loop.
     pub fn run_downgrade_pooled(
         &mut self,
         dfs: &mut TieredDfs,
@@ -338,9 +356,6 @@ impl TieringEngine {
         now: SimTime,
         pool: &EpochPool,
     ) -> Vec<TransferId> {
-        if pool.is_serial() {
-            return self.run_downgrade(dfs, tier, now);
-        }
         let Some(policy) = self.downgrade.as_mut() else {
             return Vec::new();
         };
@@ -351,22 +366,7 @@ impl TieringEngine {
             Some(phases) => {
                 crate::parallel::run_merge_commit(&mut **policy, dfs, tier, now, phases)
             }
-            None => {
-                // No split form: the serial Algorithm 1 loop, verbatim.
-                let mut planned = Vec::new();
-                let mut skip = BTreeSet::new();
-                while let Some(file) = policy.select_file(dfs, tier, now, &skip) {
-                    skip.insert(file);
-                    let target = policy.select_target(dfs, file, tier);
-                    if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
-                        planned.push(id);
-                    }
-                    if policy.stop_downgrade(dfs, tier, now) {
-                        break;
-                    }
-                }
-                planned
-            }
+            None => select_loop(&mut **policy, dfs, tier, now),
         }
     }
 

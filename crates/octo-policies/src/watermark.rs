@@ -33,7 +33,7 @@ use crate::framework::{
     effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
 };
 use crate::parallel::{encode_f64, Candidate, PhasePlan, ScanBatch};
-use crate::xgb::{sample_files, DOWNGRADE_WINDOW, UPGRADE_WINDOW};
+use crate::xgb::{sample_files, RunScores, DOWNGRADE_WINDOW, UPGRADE_WINDOW};
 use octo_access::{AccessPredictor, LearnerConfig};
 use octo_common::{ByteSize, DetRng, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
@@ -493,6 +493,7 @@ pub struct HybridUpgrade {
     bands: BandTracker,
     predictor: AccessPredictor,
     rng: DetRng,
+    scores: RunScores,
 }
 
 impl HybridUpgrade {
@@ -504,6 +505,7 @@ impl HybridUpgrade {
             bands,
             predictor: AccessPredictor::new(UPGRADE_WINDOW, learner),
             rng: DetRng::seed_from_u64(seed),
+            scores: RunScores::default(),
         }
     }
 }
@@ -533,6 +535,7 @@ impl UpgradePolicy for HybridUpgrade {
         now: SimTime,
         already: &BTreeSet<FileId>,
     ) -> Option<UpgradeChoice> {
+        self.scores.begin(already);
         if !self.predictor.learner().is_active() {
             // Watermark fallback during warm-up.
             let f = accessed?;
@@ -563,10 +566,7 @@ impl UpgradePolicy for HybridUpgrade {
             if self.bands.effective(dfs, f, now) == Band::Cold {
                 continue;
             }
-            let Some(p) = dfs
-                .file_stats(f)
-                .and_then(|s| self.predictor.predict(s, now))
-            else {
+            let Some(p) = self.scores.score(&self.predictor, dfs, f, now) else {
                 continue;
             };
             if p <= self.cfg.xgb_threshold {

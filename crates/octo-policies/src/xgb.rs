@@ -22,7 +22,7 @@ use crate::parallel::{encode_f64, shard_budget, victim_hint, Candidate, PhasePla
 use octo_access::{AccessPredictor, LearnerConfig};
 use octo_common::{ByteSize, DetRng, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::TieredDfs;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Windows for the two models (paper §4.4).
 pub const DOWNGRADE_WINDOW: SimDuration = SimDuration::from_hours(6);
@@ -57,6 +57,40 @@ pub(crate) fn sample_files(
         if let Some(stats) = dfs.file_stats(f) {
             predictor.observe_file(stats, now);
         }
+    }
+}
+
+/// Upgrade-candidate predictions memoized for one Algorithm 2 run.
+///
+/// Within a run the model, `now` and every file's statistics are frozen
+/// (planning an upgrade changes none of them), so a candidate scores the
+/// same at every pick; the run's repeated scans of the MRU window then
+/// predict each candidate once. A run starts when `already` is empty.
+#[derive(Debug, Default)]
+pub(crate) struct RunScores {
+    scores: BTreeMap<FileId, Option<f64>>,
+}
+
+impl RunScores {
+    /// Forgets the previous run's scores when `already` marks a new run.
+    pub(crate) fn begin(&mut self, already: &BTreeSet<FileId>) {
+        if already.is_empty() {
+            self.scores.clear();
+        }
+    }
+
+    /// `predictor`'s probability for `file` at `now`, computed once per run.
+    pub(crate) fn score(
+        &mut self,
+        predictor: &AccessPredictor,
+        dfs: &TieredDfs,
+        file: FileId,
+        now: SimTime,
+    ) -> Option<f64> {
+        *self
+            .scores
+            .entry(file)
+            .or_insert_with(|| dfs.file_stats(file).and_then(|s| predictor.predict(s, now)))
     }
 }
 
@@ -263,6 +297,7 @@ pub struct XgbUpgrade {
     cfg: TieringConfig,
     predictor: AccessPredictor,
     rng: DetRng,
+    scores: RunScores,
 }
 
 impl XgbUpgrade {
@@ -272,6 +307,7 @@ impl XgbUpgrade {
             cfg,
             predictor: AccessPredictor::new(UPGRADE_WINDOW, learner),
             rng: DetRng::seed_from_u64(seed),
+            scores: RunScores::default(),
         }
     }
 
@@ -326,6 +362,7 @@ impl UpgradePolicy for XgbUpgrade {
         now: SimTime,
         already: &BTreeSet<FileId>,
     ) -> Option<UpgradeChoice> {
+        self.scores.begin(already);
         if !self.predictor.learner().is_active() {
             // OSA fallback during warm-up.
             let f = accessed?;
@@ -343,10 +380,7 @@ impl UpgradePolicy for XgbUpgrade {
         // Highest-probability candidate above the discrimination threshold.
         let mut best: Option<(FileId, f64)> = None;
         for f in self.mru_candidates(dfs, already) {
-            let Some(p) = dfs
-                .file_stats(f)
-                .and_then(|s| self.predictor.predict(s, now))
-            else {
+            let Some(p) = self.scores.score(&self.predictor, dfs, f, now) else {
                 continue;
             };
             if p <= self.cfg.xgb_threshold {

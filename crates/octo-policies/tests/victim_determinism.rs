@@ -6,10 +6,14 @@
 //! same deterministic `FileId` tie-breaks. These sequences were captured
 //! from the original full-scan implementation; any divergence means the
 //! index-based selection no longer matches the scan semantics.
+//!
+//! The pins hold for both forms of Algorithm 1: the serial `select_file`
+//! loop (`TieringEngine::run_downgrade`) and the split scan-merge-commit
+//! engine (`run_downgrade_pooled`) at 1, 2, 4 and 16 threads.
 
 use octo_access::LearnerConfig;
 use octo_common::{ByteSize, FileId, PerTier, SimTime, StorageTier};
-use octo_dfs::{DfsConfig, EpochPool, TieredDfs};
+use octo_dfs::{DfsConfig, EpochPool, TieredDfs, TransferId};
 use octo_policies::{downgrade_policy, TieringConfig, TieringEngine};
 
 const MEM: StorageTier = StorageTier::Memory;
@@ -55,10 +59,12 @@ fn fill_scrambled(dfs: &mut TieredDfs, engine: &mut TieringEngine) -> Vec<FileId
     files
 }
 
-/// Runs one full downgrade invocation through the given pool and returns
-/// the victims in order. The serial pool takes the untouched `run_downgrade`
-/// path; parallel pools exercise the split scan-merge-commit engine.
-fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
+/// Runs one full downgrade invocation through `run` and returns the
+/// victims in order.
+fn victims_of(
+    policy: &str,
+    run: impl FnOnce(&mut TieringEngine, &mut TieredDfs, SimTime) -> Vec<TransferId>,
+) -> Vec<u64> {
     let mut dfs = small_dfs();
     // Aggressive thresholds so one invocation schedules a long sequence.
     let cfg = TieringConfig {
@@ -73,7 +79,7 @@ fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
     );
     fill_scrambled(&mut dfs, &mut engine);
     let now = SimTime::from_secs(4_000);
-    let planned = engine.run_downgrade_pooled(&mut dfs, MEM, now, pool);
+    let planned = run(&mut engine, &mut dfs, now);
     assert!(!planned.is_empty(), "{policy}: nothing scheduled");
     planned
         .iter()
@@ -81,9 +87,20 @@ fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one full downgrade invocation and returns the victims in order.
+/// The victims of the split scan-merge-commit engine over `pool` (a
+/// one-thread pool runs it inline).
+fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
+    victims_of(policy, |engine, dfs, now| {
+        engine.run_downgrade_pooled(dfs, MEM, now, pool)
+    })
+}
+
+/// The victims of the serial `select_file` loop, the anchor every pooled
+/// width is compared with.
 fn victim_sequence(policy: &str) -> Vec<u64> {
-    victim_sequence_pooled(policy, &EpochPool::serial())
+    victims_of(policy, |engine, dfs, now| {
+        engine.run_downgrade(dfs, MEM, now)
+    })
 }
 
 #[test]
@@ -170,7 +187,7 @@ fn pooled_victim_sequences_match_serial_at_every_thread_count() {
         "hybrid",
     ] {
         let serial = victim_sequence(policy);
-        for threads in [2usize, 4, 16] {
+        for threads in [1usize, 2, 4, 16] {
             let pooled = victim_sequence_pooled(policy, &EpochPool::new(threads));
             assert_eq!(
                 pooled, serial,
